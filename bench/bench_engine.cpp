@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "network/flow_manager.hh"
+#include "network/fluid/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 #include "sim/event_queue.hh"
@@ -111,13 +111,13 @@ BM_FlowReshare(benchmark::State &state)
         Simulator sim;
         auto topo = Topology::fatTree(4, 1e9, 5 * usec);
         StaticRouting routing(topo);
-        FlowManager mgr(sim, topo);
+        auto mgr = makeNetModel(sim, topo, {NetModelKind::exact});
         state.ResumeTiming();
         for (int i = 0; i < flows; ++i) {
             auto route = routing.route(
                 topo.serverNode(i % 16),
                 topo.serverNode((i * 5 + 3) % 16), i);
-            mgr.startFlow(std::move(route), 1'000'000, [] {});
+            mgr->startFlow(std::move(route), 1'000'000, [] {});
         }
         sim.run();
     }

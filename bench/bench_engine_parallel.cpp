@@ -10,7 +10,7 @@
  * ratio of the two runs is the engine speedup.
  *
  * Part 2 replays the same flow-activation churn through the current
- * dense-indexed FlowManager::reshare and through a reference
+ * dense-indexed exact-tier solver and through a reference
  * re-implementation of the previous algorithm (per-round std::map
  * lookups for capacity/users/bottleneck membership), and reports
  * microseconds per reshare for both.
@@ -18,9 +18,9 @@
  * Part 3 is the network-model-tier scaling point: a standing
  * population of rack-local flows (10k / 100k / 1M concurrent) is
  * bulk-loaded on a fat tree, then a churn of abort+start updates is
- * replayed under the exact global solver and under the fluid
- * partial-invalidation solver, reporting microseconds per update for
- * each. Rack-local traffic keeps the fluid model's dirty component
+ * replayed under the exact tier (whole-fabric re-solve scope) and
+ * the fluid tier (component scope), reporting microseconds per
+ * update for each. Rack-local traffic keeps the fluid model's dirty component
  * at one rack while the exact model re-solves (and reschedules) the
  * whole population, so the gap is the lazy-invalidation win.
  *
@@ -40,12 +40,12 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hh"
 #include "exp/experiment.hh"
 #include "exp/thread_pool.hh"
-#include "network/flow_manager.hh"
 #include "network/fluid/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
@@ -223,10 +223,10 @@ reshareChurn(std::size_t n_flows)
     // reshare over the flows admitted so far.
     {
         Simulator sim;
-        FlowManager mgr(sim, topo);
+        auto mgr = makeNetModel(sim, topo, {NetModelKind::exact});
         double t0 = now_s();
         for (std::size_t i = 0; i < n_flows; ++i) {
-            mgr.startFlow(routes[i], 1'000'000'000'000, [] {});
+            mgr->startFlow(routes[i], 1'000'000'000'000, [] {});
             sim.runUntil(0);
         }
         t.dense_us = (now_s() - t0) * 1e6 / n_flows;
@@ -440,7 +440,10 @@ main(int argc, char **argv)
 
     if (!json_path.empty() && !churn_only) {
         std::ofstream os(json_path);
+        // Timings only mean something next to the host they ran on.
         os << "{\n"
+           << "  \"host_cpus\": " << std::thread::hardware_concurrency()
+           << ",\n"
            << "  \"engine\": {\n"
            << "    \"points\": " << points << ",\n"
            << "    \"replicas\": " << n_replicas << ",\n"

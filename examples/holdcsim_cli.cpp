@@ -64,6 +64,7 @@
 #include "exp/experiment.hh"
 #include "exp/sweep.hh"
 #include "mc/explorer.hh"
+#include "sim/logging.hh"
 
 using namespace holdcsim;
 
@@ -321,10 +322,9 @@ printSummaries(const ResultTable &table, const SweepSpec &spec)
     }
 }
 
-} // namespace
-
+/** The whole CLI; main() adds the config-error exit path. */
 int
-main(int argc, char **argv)
+runCli(int argc, char **argv)
 {
     std::string config_path;
     std::string value;
@@ -657,4 +657,19 @@ main(int argc, char **argv)
     writeScheduleOut();
     dc.dumpStats(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A config error is the user's to fix: report it and exit 2, as
+    // a bad flag does, instead of letting it reach terminate().
+    try {
+        return runCli(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 2;
+    }
 }

@@ -138,32 +138,6 @@ DataCenter::DataCenter(const DataCenterConfig &config)
                                          _config.netConfig);
     }
 
-    // Parallel-kernel partition plan. Derived and validated eagerly
-    // so an unsplittable fabric or an unsound lookahead override
-    // fails here, not deep inside a campaign; the monolithic
-    // DataCenter itself keeps executing sequentially (the partitioned
-    // execution path is PodCluster, which builds one Simulator per
-    // partition -- see docs/DESIGN.md).
-    if (_config.pdes.enabled()) {
-        _partitionPlan = std::make_unique<PartitionMap>(
-            PartitionMap::derive(_net->topology()));
-        if (!_partitionPlan->splittable())
-            fatal("pdes_mode=pods: ", _partitionPlan->reason());
-        if (_config.pdes.partitions > _partitionPlan->pods())
-            fatal("pdes_mode=pods:", _config.pdes.partitions,
-                  " but the topology only has ",
-                  _partitionPlan->pods(), " pods");
-        if (_config.pdes.lookahead > _partitionPlan->lookahead())
-            fatal("pdes_lookahead_us=", _config.pdes.lookahead / usec,
-                  " exceeds the derived lookahead of ",
-                  _partitionPlan->lookahead() / usec,
-                  " us; a window wider than the minimum cross-pod "
-                  "latency breaks the conservative guarantee");
-        inform("pdes: ", _partitionPlan->pods(), " pods, lookahead ",
-               _partitionPlan->lookahead() / usec,
-               " us (plan only; this DataCenter runs sequentially)");
-    }
-
     for (unsigned i = 0; i < _config.nServers; ++i) {
         ServerConfig sc;
         sc.id = i;

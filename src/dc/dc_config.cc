@@ -94,13 +94,6 @@ DataCenterConfig::validate() const
     }
     if (wheelGranularity == 0)
         fatal("datacenter.wheel_granularity_us must be positive");
-    if (pdes.enabled()) {
-        if (pdes.partitions == 0)
-            fatal("datacenter.pdes_mode pods:N needs N >= 1");
-        if (fabric == Fabric::none)
-            fatal("datacenter.pdes_mode pods requires a fabric (the "
-                  "partition cut is derived from the topology)");
-    }
     if (mc.strategy != "boundary" && mc.strategy != "pairwise" &&
         mc.strategy != "exhaustive" && mc.strategy != "random") {
         fatal("unknown mc.strategy '", mc.strategy, "'");
@@ -144,26 +137,16 @@ DataCenterConfig::fromConfig(const Config &cfg)
             static_cast<double>(usec));
     }
 
-    std::string pm = cfg.getString("datacenter.pdes_mode", "off");
-    if (pm == "off") {
-        out.pdes.mode = PdesSettings::Mode::off;
-    } else if (pm.rfind("pods:", 0) == 0) {
-        out.pdes.mode = PdesSettings::Mode::pods;
-        try {
-            out.pdes.partitions =
-                static_cast<unsigned>(std::stoul(pm.substr(5)));
-        } catch (const std::exception &) {
-            fatal("bad datacenter.pdes_mode '", pm,
-                  "' (expected off or pods:N)");
+    // The DataCenter plant runs on one sequential kernel; only the
+    // pod-cluster harness executes a partitioned run.
+    for (const char *key :
+         {"datacenter.pdes_mode", "datacenter.pdes_lookahead_us"}) {
+        if (cfg.has(key)) {
+            std::string where = cfg.origin(key);
+            fatal(key, where.empty() ? "" : " (" + where + ")",
+                  " is PodCluster-only: a DataCenter always runs "
+                  "sequentially (see src/dc/pod_cluster.hh)");
         }
-    } else {
-        fatal("unknown datacenter.pdes_mode '", pm,
-              "' (expected off or pods:N)");
-    }
-    if (cfg.has("datacenter.pdes_lookahead_us")) {
-        out.pdes.lookahead = static_cast<Tick>(
-            cfg.getDouble("datacenter.pdes_lookahead_us") *
-            static_cast<double>(usec));
     }
 
     std::string qm = cfg.getString("server.queue_mode", "unified");
@@ -440,6 +423,7 @@ const char *const knownConfigKeys[] = {
     // clang-format off
     "datacenter.servers", "datacenter.cores", "datacenter.seed",
     "datacenter.timer_mode", "datacenter.wheel_granularity_us",
+    // Rejected by fromConfig() with a PodCluster-only error.
     "datacenter.pdes_mode", "datacenter.pdes_lookahead_us",
     "server.queue_mode", "server.core_pick", "server.allow_pkg_c6",
     "server.controller", "server.tau_ms",

@@ -69,28 +69,6 @@ struct DataCenterConfig {
     Tick wheelGranularity = 1;
     ///@}
 
-    /** @name Parallel kernel (conservative PDES, src/sim/pdes) */
-    ///@{
-    struct PdesSettings {
-        enum class Mode { off, pods };
-        /** off = sequential kernel (bit-identical to older builds). */
-        Mode mode = Mode::off;
-        /** Worker/partition count for Mode::pods (>= 1). */
-        unsigned partitions = 1;
-        /**
-         * Lookahead override; 0 derives it from the topology (the
-         * minimum pod-to-core link latency, see PartitionMap). A
-         * nonzero override must not exceed the derived value or the
-         * conservative guarantee breaks; it is validated against the
-         * topology at plant construction.
-         */
-        Tick lookahead = 0;
-
-        bool enabled() const { return mode == Mode::pods; }
-    };
-    PdesSettings pdes;
-    ///@}
-
     /** @name Network fabric */
     ///@{
     enum class Fabric { none, star, fatTree, flattenedButterfly,
@@ -304,8 +282,9 @@ struct DataCenterConfig {
      * Load from parsed INI text. Recognized keys (all optional):
      *
      *   [datacenter] servers, cores, seed,
-     *                timer_mode (events|wheel), wheel_granularity_us,
-     *                pdes_mode (off|pods:N), pdes_lookahead_us
+     *                timer_mode (events|wheel), wheel_granularity_us
+     *                (pdes_mode and pdes_lookahead_us are rejected:
+     *                only PodCluster partitions a run)
      *   [server]     queue_mode (unified|per_core),
      *                core_pick (round_robin|least_loaded),
      *                allow_pkg_c6,

@@ -3,9 +3,9 @@
  * Pod-partitioned data center: the execution harness for the
  * conservative parallel kernel (src/sim/pdes).
  *
- * The monolithic DataCenter owns a single Simulator, so it can only
- * validate a partition plan (see DataCenter::partitionPlan()). A
- * PodCluster actually executes one: it builds K identical pods --
+ * The monolithic DataCenter owns a single Simulator and always runs
+ * sequentially (it rejects the pdes_* config keys). A PodCluster
+ * executes a partitioned run: it builds K identical pods --
  * each a star fabric, a 3-tier server group (web/app/db), a
  * least-loaded scheduler and a Poisson request pump -- and groups
  * them onto N partitions, one Simulator per partition, advanced in

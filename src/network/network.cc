@@ -12,7 +12,7 @@ Network::Network(Simulator &sim, Topology topo,
                  const NetworkConfig &config)
     : _sim(sim), _topo(std::move(topo)), _config(config),
       _routing(_topo),
-      _flowMgr(makeNetModel(sim, _topo, config.netModel)),
+      _flows(sim, _topo, config.netModel),
       _oneShots(sim, "net.oneShot")
 {
     _topo.validateConnected();
@@ -123,9 +123,9 @@ Network::startFlow(std::size_t src_server, std::size_t dst_server,
         if (cb)
             cb();
     };
-    FlowId id = _flowMgr->startFlow(std::move(route), bytes,
-                                    std::move(done), wake_delay);
-    _flowMgr->setAbortCallback(
+    FlowId id = _flows.startFlow(std::move(route), bytes,
+                                 std::move(done), wake_delay);
+    _flows.setAbortCallback(
         id, [release, cb = std::move(on_abort)]() {
             release();
             if (cb)
@@ -142,10 +142,11 @@ Network::failLink(LinkId l)
     if (!_routing.linkHealthy(l))
         return 0;
     _routing.setLinkHealth(l, false);
-    std::size_t killed = _flowMgr->abortFlowsOn(l);
+    std::size_t killed = _flows.abortFlowsOn(l);
     // Fault-driven capacity changes invalidate the surrounding
-    // component in incremental backends (no-op for the exact tier).
-    _flowMgr->linkHealthChanged(l, false);
+    // component in the fluid scope (no-op for the whole-fabric
+    // scope, which re-solved when the link's flows aborted).
+    _flows.linkHealthChanged(l, false);
     return killed;
 }
 
@@ -153,7 +154,7 @@ void
 Network::repairLink(LinkId l)
 {
     _routing.setLinkHealth(l, true);
-    _flowMgr->linkHealthChanged(l, true);
+    _flows.linkHealthChanged(l, true);
 }
 
 std::size_t
@@ -166,8 +167,8 @@ Network::failSwitch(std::size_t sw_idx)
     _switches.at(sw_idx)->setFailed(true);
     std::size_t killed = 0;
     for (LinkId l : _topo.linksAt(node)) {
-        killed += _flowMgr->abortFlowsOn(l);
-        _flowMgr->linkHealthChanged(l, false);
+        killed += _flows.abortFlowsOn(l);
+        _flows.linkHealthChanged(l, false);
     }
     return killed;
 }
@@ -178,7 +179,7 @@ Network::repairSwitch(std::size_t sw_idx)
     _routing.setNodeHealth(_topo.switchNode(sw_idx), true);
     _switches.at(sw_idx)->setFailed(false);
     for (LinkId l : _topo.linksAt(_topo.switchNode(sw_idx)))
-        _flowMgr->linkHealthChanged(l, true);
+        _flows.linkHealthChanged(l, true);
 }
 
 std::vector<LinkId>

@@ -64,8 +64,8 @@ class Network
 
     const Topology &topology() const { return _topo; }
     StaticRouting &routing() { return _routing; }
-    /** The configured flow-level model backend. */
-    NetModel &flows() { return *_flowMgr; }
+    /** The flow-level model, in the configured tier. */
+    NetModel &flows() { return _flows; }
 
     std::size_t numSwitches() const { return _switches.size(); }
     Switch &switchAt(std::size_t i) { return *_switches.at(i); }
@@ -186,7 +186,7 @@ class Network
     Topology _topo;
     NetworkConfig _config;
     StaticRouting _routing;
-    std::unique_ptr<NetModel> _flowMgr;
+    NetModel _flows;
 
     std::vector<std::unique_ptr<Switch>> _switches;
     /** node id -> (link id -> port ordinal) for switch nodes. */

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "dc/dc_config.hh"
-#include "network/flow_manager.hh"
+#include "network/fluid/net_model.hh"
 #include "network/network.hh"
 #include "sched/global_scheduler.hh"
 #include "sim/logging.hh"
@@ -140,21 +140,21 @@ TEST(FlowIntrospection, RatesAndUtilization)
     Simulator sim;
     auto topo = Topology::star(3, 1e9, 5 * usec);
     StaticRouting routing(topo);
-    FlowManager mgr(sim, topo);
+    auto mgr = makeNetModel(sim, topo, {NetModelKind::exact});
     auto route_a = routing.route(topo.serverNode(0),
                                  topo.serverNode(1), 1);
     auto route_b = routing.route(topo.serverNode(2),
                                  topo.serverNode(1), 2);
     LinkId shared = route_a.links.back(); // server 1's downlink
-    FlowId a = mgr.startFlow(route_a, 125'000'000, [] {});
-    FlowId b = mgr.startFlow(route_b, 125'000'000, [] {});
+    FlowId a = mgr->startFlow(route_a, 125'000'000, [] {});
+    FlowId b = mgr->startFlow(route_b, 125'000'000, [] {});
     sim.runUntil(10 * msec); // both active and sharing
-    EXPECT_NEAR(mgr.flowRate(a), 5e8, 1e6);
-    EXPECT_NEAR(mgr.flowRate(b), 5e8, 1e6);
-    EXPECT_NEAR(mgr.linkUtilization(shared), 1.0, 0.01);
-    EXPECT_DOUBLE_EQ(mgr.flowRate(999), 0.0); // unknown flow
+    EXPECT_NEAR(mgr->flowRate(a), 5e8, 1e6);
+    EXPECT_NEAR(mgr->flowRate(b), 5e8, 1e6);
+    EXPECT_NEAR(mgr->linkUtilization(shared), 1.0, 0.01);
+    EXPECT_DOUBLE_EQ(mgr->flowRate(999), 0.0); // unknown flow
     sim.run();
-    EXPECT_EQ(mgr.flowsCompleted(), 2u);
+    EXPECT_EQ(mgr->flowsCompleted(), 2u);
 }
 
 // ------------------------------------------------------------- bulk sends

@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "network/flow_manager.hh"
+#include "network/fluid/net_model.hh"
 #include "network/network.hh"
 #include "network/routing.hh"
 #include "sim/logging.hh"
@@ -302,7 +302,7 @@ directedPath(const Topology &topo, const Route &r)
  * Reference max-min water-filling, recomputed from scratch every
  * round: count unfrozen users per directed link, find the minimum
  * share, freeze exactly the flows crossing a minimum-share link, and
- * repeat. Deliberately independent of FlowManager's incremental
+ * repeat. Deliberately independent of the solver's incremental
  * bookkeeping.
  */
 std::vector<double>
@@ -358,7 +358,7 @@ waterFill(const Topology &topo,
 }
 
 /**
- * Start every flow of @p routes in a FlowManager, activate them all
+ * Start every flow of @p routes in the exact model, activate them all
  * at tick 0 and compare each solver rate against the reference
  * water-filling allocation.
  */
@@ -372,14 +372,14 @@ expectMatchesReference(const Topology &topo,
     std::vector<double> expected = waterFill(topo, paths);
 
     Simulator sim;
-    FlowManager mgr(sim, topo);
+    auto mgr = makeNetModel(sim, topo, {NetModelKind::exact});
     std::vector<FlowId> ids;
     for (const Route &r : routes)
-        ids.push_back(mgr.startFlow(r, 1'000'000'000'000, [] {}));
+        ids.push_back(mgr->startFlow(r, 1'000'000'000'000, [] {}));
     sim.runUntil(0); // activations only; completions lie far out
     for (std::size_t f = 0; f < ids.size(); ++f) {
         SCOPED_TRACE("flow " + std::to_string(f));
-        double got = mgr.flowRate(ids[f]);
+        double got = mgr->flowRate(ids[f]);
         ASSERT_GT(expected[f], 0.0);
         EXPECT_NEAR(got, expected[f], 1e-6 * expected[f]);
     }
@@ -387,7 +387,7 @@ expectMatchesReference(const Topology &topo,
     std::vector<double> load(2 * topo.numLinks(), 0.0);
     for (std::size_t f = 0; f < ids.size(); ++f) {
         for (std::size_t dl : paths[f])
-            load[dl] += mgr.flowRate(ids[f]);
+            load[dl] += mgr->flowRate(ids[f]);
     }
     for (LinkId l = 0; l < topo.numLinks(); ++l) {
         double cap = topo.link(l).rate;
@@ -491,15 +491,15 @@ TEST(FlowFairness, ReshareIsOrderIndependent)
 
     auto ratesFor = [&](std::vector<std::size_t> order) {
         Simulator sim;
-        FlowManager mgr(sim, topo);
+        auto mgr = makeNetModel(sim, topo, {NetModelKind::exact});
         std::vector<FlowId> ids(order.size());
         for (std::size_t i : order)
-            ids[i] = mgr.startFlow(routes[i], 1'000'000'000'000,
+            ids[i] = mgr->startFlow(routes[i], 1'000'000'000'000,
                                    [] {});
         sim.runUntil(0);
         std::vector<double> rates;
         for (FlowId id : ids)
-            rates.push_back(mgr.flowRate(id));
+            rates.push_back(mgr->flowRate(id));
         return rates;
     };
 

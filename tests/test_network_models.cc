@@ -16,8 +16,12 @@
  *    any behavioral difference.
  *
  *  - hybrid vs exact at fast-path threshold 0: the *same* code path
- *    (FlowManager with the fast path never taken), so completion
- *    tick sequences and solver counters must match exactly.
+ *    (whole-fabric scope with the fast path never taken), so
+ *    completion tick sequences and solver counters must match
+ *    exactly.
+ *
+ *  - golden digests: the full DataCenter stats dump of a fat-tree
+ *    DAG run is pinned per tier, with and without link faults.
  */
 
 #include <gtest/gtest.h>
@@ -26,17 +30,20 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "network/flow_manager.hh"
-#include "network/fluid/fluid_flow_model.hh"
+#include "dc/datacenter.hh"
 #include "network/fluid/net_model.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
+#include "workload/arrival.hh"
+#include "workload/job_generator.hh"
+#include "workload/service.hh"
 
 using namespace holdcsim;
 
@@ -488,3 +495,167 @@ TEST(NetModelFactory, BackendsReportTheirTier)
                      ->modelName(),
                  "hybrid");
 }
+
+// ------------------------------------------------- golden stats digests
+
+namespace {
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * Three-layer DAG jobs whose edges alternate between a short
+ * transfer (16 KB, inside the hybrid/fluid fast path) and a long one
+ * (8-40 MB, contending in the solver). Job ids come from a local
+ * counter, so a dump does not depend on which tests ran earlier in
+ * the same process.
+ */
+class MixedDagGenerator : public JobGenerator
+{
+  public:
+    MixedDagGenerator(Tick mean_service, Rng service_rng, Rng rng)
+        : _service(std::make_shared<ExponentialService>(
+              mean_service, std::move(service_rng))),
+          _rng(std::move(rng))
+    {}
+
+  protected:
+    Job
+    buildJob(JobId, Tick arrival) override
+    {
+        Job job(_next++, arrival);
+        std::vector<TaskId> prev{
+            job.addTask(TaskSpec{_service->sample(), 0, 1.0})};
+        for (int layer = 1; layer < 3; ++layer) {
+            std::vector<TaskId> cur;
+            const unsigned width = _rng.uniformInt(1, 2);
+            for (unsigned i = 0; i < width; ++i) {
+                TaskId t =
+                    job.addTask(TaskSpec{_service->sample(), 0, 1.0});
+                TaskId p = prev[_rng.uniformInt(0, prev.size() - 1)];
+                Bytes bytes =
+                    (_edges++ % 2 == 0)
+                        ? 16 * 1024
+                        : (8 + 8 * _rng.uniformInt(0, 4)) * 1'000'000;
+                job.addEdge(p, t, bytes);
+                cur.push_back(t);
+            }
+            prev = std::move(cur);
+        }
+        job.validate();
+        return job;
+    }
+
+  private:
+    std::shared_ptr<ServiceModel> _service;
+    Rng _rng;
+    JobId _next = 0;
+    std::uint64_t _edges = 0;
+};
+
+struct GoldenCase {
+    const char *name;
+    NetModelKind kind;
+    Bytes fastPath;
+    bool linkFaults;
+    std::uint64_t digest;
+};
+
+/**
+ * Fat-tree k=4 (16 servers, 1 GbE), network-aware dispatch with
+ * anti-affinity so DAG edges cross the fabric, 300 Poisson-arriving
+ * DAG jobs, run to drain; returns the dumpStats text.
+ */
+std::string
+goldenDump(const GoldenCase &c)
+{
+    DataCenterConfig cfg;
+    cfg.nCores = 2;
+    cfg.seed = 17;
+    cfg.fabric = DataCenterConfig::Fabric::fatTree;
+    cfg.fabricParam = 4;
+    cfg.linkRate = 1e9;
+    cfg.dispatch = DataCenterConfig::Dispatch::networkAware;
+    cfg.taskAntiAffinity = true;
+    cfg.controller = DataCenterConfig::Controller::delayTimer;
+    cfg.delayTimerTau = 200 * msec;
+    cfg.netConfig.switchSleepDelay = 50 * msec;
+    cfg.netConfig.netModel.kind = c.kind;
+    cfg.netConfig.netModel.fastPathBytes = c.fastPath;
+    if (c.linkFaults) {
+        cfg.fault.enabled = true;
+        cfg.fault.faultServers = false;
+        cfg.fault.faultLinks = true;
+        cfg.fault.mttfHours = 20.0 / 3600.0;   // 20 s per link
+        cfg.fault.mttrMinutes = 0.2 / 60.0;    // 200 ms
+        cfg.fault.maxRetries = 8;
+        cfg.fault.retryBackoffBase = 5 * msec;
+    }
+    DataCenter dc(cfg);
+    MixedDagGenerator gen(20 * msec, dc.makeRng("service"),
+                          dc.makeRng("dag"));
+    dc.pump(std::make_unique<PoissonArrival>(100.0,
+                                             dc.makeRng("arrivals")),
+            gen, 300);
+    dc.run();
+    std::ostringstream os;
+    dc.dumpStats(os);
+    return os.str();
+}
+
+/** Keeps the test's ctest name free of the param's raw bytes. */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class GoldenDigest : public ::testing::TestWithParam<GoldenCase>
+{};
+
+} // namespace
+
+/**
+ * Pinned FNV-1a digests of the full stats dump per model tier. Any
+ * change to the solver's arithmetic, its resolve triggers or the
+ * order completions are rescheduled in moves these.
+ */
+TEST_P(GoldenDigest, StatsDumpMatchesPinnedDigest)
+{
+    const GoldenCase &c = GetParam();
+    const std::string dump = goldenDump(c);
+    ASSERT_NE(dump.find("network.flows_completed"), std::string::npos);
+    if (c.fastPath > 0) {
+        EXPECT_EQ(dump.find("network.fast_path_hits 0\n"),
+                  std::string::npos);
+    }
+    if (c.linkFaults) {
+        EXPECT_EQ(dump.find("reliability.flows_aborted 0\n"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(fnv1a(dump), c.digest)
+        << std::hex << "got 0x" << fnv1a(dump) << " for " << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, GoldenDigest,
+    ::testing::Values(
+        GoldenCase{"exact", NetModelKind::exact, 0, false,
+                   0xcfe5f25ae3112ae1ull},
+        GoldenCase{"hybrid", NetModelKind::hybrid, 64 * 1024, false,
+                   0xbb2f7fd8153285c5ull},
+        GoldenCase{"fluid", NetModelKind::fluid, 64 * 1024, false,
+                   0x19a68eb3742946daull},
+        GoldenCase{"exact_link_faults", NetModelKind::exact, 0, true,
+                   0x2e45a78590ba5603ull},
+        GoldenCase{"fluid_link_faults", NetModelKind::fluid, 0, true,
+                   0xef66d5bffbed4d56ull}),
+    [](const auto &info) { return std::string(info.param.name); });

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dc/dc_config.hh"
@@ -223,24 +224,26 @@ TEST(PartitionMap, GroupsPodsContiguouslyOntoPartitions)
 
 TEST(DataCenterConfig, PdesKeysParseAndValidate)
 {
-    Config cfg;
-    cfg.set("datacenter.pdes_mode", "pods:4");
-    cfg.set("network.fabric", "fat_tree");
-    cfg.set("network.param", "4");
-    auto dc = DataCenterConfig::fromConfig(cfg);
-    EXPECT_TRUE(dc.pdes.enabled());
-    EXPECT_EQ(dc.pdes.partitions, 4u);
-    EXPECT_NO_THROW(dc.validate());
-
-    Config off;
-    off.set("datacenter.pdes_mode", "off");
-    EXPECT_FALSE(DataCenterConfig::fromConfig(off).pdes.enabled());
-
-    // pods mode without a fabric cannot derive a partition cut.
-    Config bad;
-    bad.set("datacenter.pdes_mode", "pods:2");
-    EXPECT_THROW(DataCenterConfig::fromConfig(bad).validate(),
-                 FatalError);
+    // A DataCenter always runs on one sequential kernel; the
+    // partitioned path is PodCluster, so the keys are rejected
+    // rather than parsed into a plan that changes nothing.
+    const std::pair<const char *, const char *> keys[] = {
+        {"datacenter.pdes_mode", "pods:4"},
+        {"datacenter.pdes_lookahead_us", "10"}};
+    for (const auto &[key, value] : keys) {
+        Config cfg;
+        cfg.set(key, value);
+        cfg.set("network.fabric", "fat_tree");
+        cfg.set("network.param", "4");
+        try {
+            DataCenterConfig::fromConfig(cfg);
+            FAIL() << key << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("PodCluster-only"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
